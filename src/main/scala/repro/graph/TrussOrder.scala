@@ -1,6 +1,5 @@
 package repro.graph
 
-
 /** An ordering of the canonical edges of a graph.
   *
   * @param rank  rank(edgeId) = position in the ordering (0-based; smaller = earlier)
@@ -19,119 +18,121 @@ final case class EdgeOrderResult(rank: Array[Int], bound: Int) extends Serializa
   * which bounds the candidate-graph size of every sub-branch produced by
   * edge-oriented branching, and satisfies τ < δ on graphs with at least
   * one triangle (strictly, τ ≤ δ − 1 — see [19]).
+  *
+  * Runs in O(δm), as the paper's bound assumes: triangles are listed over
+  * degeneracy-oriented out-neighbor lists (|N⁺(v)| ≤ δ), and peeling moves
+  * an edge between support bins in O(1) (Wang & Cheng, PVLDB 2012). Ties go
+  * to the edge that entered its bin last (at the start, the highest id).
   */
 object TrussOrder {
 
-  /** Growable unboxed int stack (the generic collections box, and the bucket
-    * queue sees O(#triangles) pushes).
-    */
-  private final class IntStack {
-    private var arr = new Array[Int](8)
-    var len = 0
-    def push(x: Int): Unit = {
-      if (len == arr.length) arr = java.util.Arrays.copyOf(arr, arr.length * 2)
-      arr(len) = x; len += 1
-    }
-    def pop(): Int = { len -= 1; arr(len) }
-    def get(i: Int): Int = arr(i)
-  }
-
   def compute(g: LocalGraph): EdgeOrderResult = {
-    val m = g.m
-    if (m == 0) return EdgeOrderResult(new Array[Int](0), 0)
-    // Forward triangle listing in O(δm): orient by degeneracy position and
-    // find, for each vertex u, triangles among its position-later neighbors.
-    // Each triangle is recorded once on each of its three edges as the pair
-    // of the OTHER two edge ids, so the peeling loop below is a pure array
-    // walk with no adjacency merging.
+    val n = g.n; val m = g.m
+    // Out-neighbor CSR: each edge and its id at the endpoint earlier in the
+    // degeneracy order; filled in id order, so each N⁺(x) is sorted. Both
+    // CSRs are filled by counting sort with x's cursor at off(x + 1).
     val pos = Degeneracy.compute(g).pos
-    val triCnt = new Array[Int](m)
-    val tri1 = new IntStack; val tri2 = new IntStack; val tri3 = new IntStack
-    val markEdge = new Array[Int](g.n) // edgeId(u,w) for marked w, else -1
-    java.util.Arrays.fill(markEdge, -1)
-    var u = 0
-    while (u < g.n) {
-      // mark position-later neighbors of u with the connecting edge id
-      var p = g.offsets(u); val pe = g.offsets(u + 1)
-      while (p < pe) {
-        val w = g.adj(p)
-        if (pos(w) > pos(u)) markEdge(w) = g.edgeId(u, w)
-        p += 1
-      }
-      p = g.offsets(u)
-      while (p < pe) {
-        val a = g.adj(p)
-        if (pos(a) > pos(u)) {
-          val eUA = markEdge(a)
-          var q = g.offsets(a); val qe = g.offsets(a + 1)
+    def tail(e: Int): Int = if (pos(g.eu(e)) < pos(g.ev(e))) g.eu(e) else g.ev(e)
+    val outOff = new Array[Int](n + 1)
+    var e = 0
+    while (e < m) { outOff(tail(e) + 1) += 1; e += 1 }
+    toCursors(outOff, n)
+    val outNbr = new Array[Int](m); val outEid = new Array[Int](m)
+    e = 0
+    while (e < m) {
+      val x = tail(e); val p = outOff(x + 1)
+      outNbr(p) = g.eu(e) + g.ev(e) - x; outEid(p) = e; outOff(x + 1) = p + 1
+      e += 1
+    }
+    // List each triangle u→v→w once: mark N⁺(u) with edge ids, then scan
+    // N⁺(v) for each v in N⁺(u). Pass 0 counts each edge's triangles (its
+    // support); pass 1 stores, per edge, the other two edges of each one.
+    val sup = new Array[Int](m)
+    val triOff = new Array[Int](m + 1)
+    var other: Array[Int] = null
+    val mark = new Array[Int](n)
+    java.util.Arrays.fill(mark, -1)
+    var pass = 0
+    while (pass < 2) {
+      var u = 0
+      while (u < n) {
+        var p = outOff(u); val pe = outOff(u + 1)
+        while (p < pe) { mark(outNbr(p)) = outEid(p); p += 1 }
+        p = outOff(u)
+        while (p < pe) {
+          val v = outNbr(p); val eUV = outEid(p)
+          var q = outOff(v); val qe = outOff(v + 1)
           while (q < qe) {
-            val w = g.adj(q)
-            if (pos(w) > pos(a) && markEdge(w) >= 0) {
-              val eUW = markEdge(w)
-              val eAW = g.edgeId(a, w)
-              tri1.push(eUA); tri2.push(eUW); tri3.push(eAW)
-              triCnt(eUA) += 1; triCnt(eUW) += 1; triCnt(eAW) += 1
+            val eUW = mark(outNbr(q))
+            if (eUW >= 0) {
+              val eVW = outEid(q)
+              if (pass == 0) { sup(eUV) += 1; sup(eUW) += 1; sup(eVW) += 1 }
+              else {
+                append(triOff, other, eUV, eUW, eVW)
+                append(triOff, other, eUW, eUV, eVW)
+                append(triOff, other, eVW, eUV, eUW)
+              }
             }
             q += 1
           }
+          p += 1
         }
-        p += 1
+        p = outOff(u)
+        while (p < pe) { mark(outNbr(p)) = -1; p += 1 }
+        u += 1
       }
-      p = g.offsets(u)
-      while (p < pe) { markEdge(g.adj(p)) = -1; p += 1 }
-      u += 1
+      if (pass == 0) {
+        System.arraycopy(sup, 0, triOff, 1, m)
+        other = new Array[Int](2 * toCursors(triOff, m))
+      }
+      pass += 1
     }
-    val nTri = tri1.len
-    // CSR of (other-edge, other-edge) pairs per edge.
-    val off = new Array[Int](m + 1)
-    var e = 0
-    while (e < m) { off(e + 1) = off(e) + triCnt(e); e += 1 }
-    val otherA = new Array[Int](3 * nTri)
-    val otherB = new Array[Int](3 * nTri)
-    val cursor = java.util.Arrays.copyOf(off, m)
-    var t = 0
-    while (t < nTri) {
-      val a = tri1.get(t); val b = tri2.get(t); val c = tri3.get(t)
-      otherA(cursor(a)) = b; otherB(cursor(a)) = c; cursor(a) += 1
-      otherA(cursor(b)) = a; otherB(cursor(b)) = c; cursor(b) += 1
-      otherA(cursor(c)) = a; otherB(cursor(c)) = b; cursor(c) += 1
-      t += 1
+    // Peel: rank the live edge of least support, then take one support off
+    // the two other edges of each of its live triangles. Each support (< n)
+    // has a bin, a doubly linked list used as a stack. Ranked: support -1.
+    val head = new Array[Int](n)
+    java.util.Arrays.fill(head, -1)
+    val next = new Array[Int](m); val prev = new Array[Int](m)
+    def push(x: Int): Unit = {
+      val h = head(sup(x)); next(x) = h; prev(x) = -1; head(sup(x)) = x
+      if (h >= 0) prev(h) = x
     }
-    // Peel: repeatedly remove the minimum-support edge; supports = live
-    // triangle counts. Bucket queue with lazy (stale-entry) deletion.
-    val sup = triCnt
-    val removed = new Array[Boolean](m)
-    val maxSup = sup.max
-    val buckets = Array.fill(maxSup + 1)(new IntStack)
+    def unlink(x: Int): Unit = {
+      if (prev(x) >= 0) next(prev(x)) = next(x) else head(sup(x)) = next(x)
+      if (next(x) >= 0) prev(next(x)) = prev(x)
+    }
     e = 0
-    while (e < m) { buckets(sup(e)).push(e); e += 1 }
+    while (e < m) { push(e); e += 1 }
     val rank = new Array[Int](m)
-    var tau = 0
-    var nextRank = 0
-    var cur = 0
-    while (nextRank < m) {
-      while (cur <= maxSup && buckets(cur).len == 0) cur += 1
-      require(cur <= maxSup, "bucket queue exhausted before all edges ranked")
-      val cand = buckets(cur).pop()
-      if (!removed(cand) && sup(cand) == cur) {
-        removed(cand) = true
-        rank(cand) = nextRank
-        tau = math.max(tau, cur)
-        nextRank += 1
-        var k = off(cand)
-        val ke = off(cand + 1)
-        while (k < ke) {
-          val e1 = otherA(k); val e2 = otherB(k)
-          if (!removed(e1) && !removed(e2)) {
-            sup(e1) -= 1; buckets(sup(e1)).push(e1)
-            sup(e2) -= 1; buckets(sup(e2)).push(e2)
-            cur = math.min(cur, math.min(sup(e1), sup(e2)))
-          }
-          k += 1
+    var tau = 0; var cur = 0; var r = 0
+    while (r < m) {
+      while (head(cur) < 0) cur += 1
+      val x = head(cur); unlink(x); sup(x) = -1
+      rank(x) = r; r += 1; tau = math.max(tau, cur)
+      var k = 2 * triOff(x); val ke = 2 * triOff(x + 1)
+      while (k < ke) {
+        val e1 = other(k); val e2 = other(k + 1)
+        if (sup(e1) >= 0 && sup(e2) >= 0) {
+          unlink(e1); sup(e1) -= 1; push(e1)
+          unlink(e2); sup(e2) -= 1; push(e2)
+          cur = math.min(cur, math.min(sup(e1), sup(e2)))
         }
+        k += 2
       }
     }
     EdgeOrderResult(rank, tau)
+  }
+
+  /** Turn the counts held at off(x + 1) into start offsets; return the total. */
+  private def toCursors(off: Array[Int], len: Int): Int = {
+    var s = 0; var x = 0
+    while (x < len) { val c = off(x + 1); off(x + 1) = s; s += c; x += 1 }
+    s
+  }
+
+  /** Append the pair (a, b) to the pair slots of x. */
+  @inline private def append(off: Array[Int], out: Array[Int], x: Int, a: Int, b: Int): Unit = {
+    val p = 2 * off(x + 1); out(p) = a; out(p + 1) = b; off(x + 1) += 1
   }
 }
 
@@ -162,18 +163,17 @@ object EdgeOrders {
   def minDegree(g: LocalGraph): EdgeOrderResult = {
     val keys = Array.tabulate(g.m) { e =>
       val d = math.min(g.degree(g.eu(e)), g.degree(g.ev(e))).toLong
-      (d << 32) | e.toLong // edge id tie-break keeps the sort stable
+      (d << 32) | e.toLong // edge id tie-break keeps the keys distinct
     }
     fromKeys(g, keys)
   }
 
+  /** Rank edges by ascending key; the keys must be distinct. */
   private def fromKeys(g: LocalGraph, keys: Array[Long]): EdgeOrderResult = {
-    val ids = Array.tabulate(g.m)(identity)
-    val boxed = ids.map(Integer.valueOf)
-    java.util.Arrays.sort(boxed, (a: Integer, b: Integer) => java.lang.Long.compare(keys(a), keys(b)))
+    val sorted = keys.clone(); java.util.Arrays.sort(sorted)
     val rank = new Array[Int](g.m)
-    var i = 0
-    while (i < g.m) { rank(boxed(i)) = i; i += 1 }
+    var e = 0
+    while (e < g.m) { rank(e) = java.util.Arrays.binarySearch(sorted, keys(e)); e += 1 }
     EdgeOrderResult(rank, achievedBound(g, rank))
   }
 

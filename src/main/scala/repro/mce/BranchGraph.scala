@@ -76,20 +76,15 @@ final class Workspace(n: Int) {
   // shared anchor-neighborhood matrices, grown on demand and reused
   var hFlat = new Array[Long](1024)
   var hRank = new Array[Int](4096)
-  def ensureAnchor(nLoc: Int, words: Int): Unit = {
+  def ensureAnchor(u: Int, nLoc: Int, words: Int): Unit = {
+    require(nLoc.toLong * nLoc <= Int.MaxValue,
+      s"anchor vertex $u has degree $nLoc: its $nLoc x $nLoc pair-rank matrix would exceed the largest JVM array")
     val fl = nLoc * words
     if (hFlat.length < fl) hFlat = new Array[Long](math.max(fl, hFlat.length * 2))
     java.util.Arrays.fill(hFlat, 0, fl, 0L)
     val rl = nLoc * nLoc
     if (hRank.length < rl) hRank = new Array[Int](math.max(rl, hRank.length * 2))
   }
-  // early-termination scratch (see EarlyTermination.enumerate)
-  val etNbr1 = new Array[Int](n)
-  val etNbr2 = new Array[Int](n)
-  val etVisited = new Array[Boolean](n)
-  val etCompV = new Array[Int](n)
-  val etCompStart = new Array[Int](n + 1)
-  val etCompCyc = new Array[Boolean](n)
   // candidate-candidate pair records of the branch under construction
   var pairI = new Array[Int](256)
   var pairJ = new Array[Int](256)
@@ -142,15 +137,23 @@ final class AnchorContext(g: LocalGraph, rank: Array[Int], val u: Int,
   val words: Int = Bits.words(math.max(1, nLoc))
   /** neighbors of u in descending rank(u,·) order */
   val ids: Array[Int] = {
-    val a = g.neighbors(u)
-    val keys = a.map(w => rank(g.edgeId(u, w)))
-    val idx = a.indices.toArray.map(Integer.valueOf)
-    java.util.Arrays.sort(idx, (p: Integer, q: Integer) => Integer.compare(keys(q), keys(p)))
-    idx.map(a(_))
+    // Sort keys (~rank << 32) | w: the ranks of u's edges are distinct.
+    val keys = new Array[Long](nLoc)
+    var i = 0
+    while (i < nLoc) {
+      val w = g.adj(g.offsets(u) + i)
+      keys(i) = ((~rank(g.edgeId(u, w))).toLong << 32) | w
+      i += 1
+    }
+    java.util.Arrays.sort(keys)
+    val out = new Array[Int](nLoc)
+    i = 0
+    while (i < nLoc) { out(i) = keys(i).toInt; i += 1 }
+    out
   }
   // Build H and the pair-rank matrix. ensureAnchor may replace the shared
   // buffers with larger ones, so capture them only afterwards.
-  ws.ensureAnchor(nLoc, words)
+  ws.ensureAnchor(u, nLoc, words)
   private val h = ws.hFlat
   private val hRank = ws.hRank
   private val localRanks = if (needRanks) LocalRanks.fromDense(nLoc, hRank) else null

@@ -105,6 +105,7 @@ object Engine {
       case Level1.VertexDegeneracy =>
         degenPos = Degeneracy.compute(reduced).pos
       case Level1.EdgeOrdered(kind) =>
+        if (cfg.edgeDepth >= 2) requireEdgeRecKeys(reduced)
         val res: EdgeOrderResult = kind match {
           case EdgeOrderKind.Truss    => EdgeOrders.truss(reduced)
           case EdgeOrderKind.DegenLex => EdgeOrders.degeneracyLex(reduced, Degeneracy.compute(reduced))
@@ -162,6 +163,20 @@ object Engine {
     }
     new Prepared(g, reduced, oldId, cfg, edgeRank, bound, degenPos, direct.cliques.toArray,
       anchorVerts, anchorOff, anchorEdges)
+  }
+
+  /** Edge branching below level 1 (`Kernels.edgeRec`) sorts candidate pairs
+    * by the key rank << 40 | i << 20 | j, where i, j are anchor-local
+    * indices (below the anchor's degree).
+    */
+  private def requireEdgeRecKeys(g: LocalGraph): Unit = {
+    require(g.m < (1 << 23),
+      s"edge depth >= 2 needs fewer than 2^23 edges after reduction; the graph has ${g.m}")
+    var maxDeg = 0
+    var v = 0
+    while (v < g.n) { maxDeg = math.max(maxDeg, g.degree(v)); v += 1 }
+    require(maxDeg < (1 << 20),
+      s"edge depth >= 2 needs a maximum degree below 2^20 after reduction; the graph has $maxDeg")
   }
 
   /** Wrap a raw sink for use with [[solveUnit]]; create once per run or per

@@ -30,6 +30,20 @@ object TestGraphs {
     of(n, edges: _*)
   }
 
+  /** `k` mutually adjacent hubs (ids 0 until k), `leaves` leaves adjacent to
+    * every hub, and a seeded random matching of `sprinkle` leaf–leaf edges.
+    * Its maximal cliques are the hubs plus one unmatched leaf or one matched
+    * pair; hub–hub edges have about `leaves` common neighbors.
+    */
+  def hubs(k: Int, leaves: Int, sprinkle: Int, seed: Long): LocalGraph = {
+    require(2 * sprinkle <= leaves)
+    val n = k + leaves
+    val hubEdges = for { a <- 0 until k; b <- (a + 1) until n } yield (a, b)
+    val shuffled = new scala.util.Random(seed).shuffle((k until n).toVector)
+    val matching = (0 until sprinkle).map(i => (shuffled(2 * i), shuffled(2 * i + 1)))
+    LocalGraph.fromEdges(n, hubEdges ++ matching)
+  }
+
   /** Complete graph minus a perfect matching on 2k vertices (a 2-plex with
     * 2^k maximal cliques).
     */

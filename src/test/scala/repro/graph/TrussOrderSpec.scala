@@ -77,6 +77,47 @@ class TrussOrderSpec extends SparkSpec {
     }
   }
 
+  // Pinned (τ, java.util.Arrays.hashCode(rank)). The order decides every
+  // level-1 branch, so #Calls and ET counts move if it changes: any
+  // reimplementation must reproduce it exactly, ties included.
+  test("ranks are pinned on a suite graph, a hub graph and random graphs") {
+    val cases = Seq(
+      "FB" -> GraphGen.generate(GraphGen.byName("FB")),
+      "hubs" -> TestGraphs.hubs(4, 500, 60, 3),
+      "gnp-1" -> GraphGen.randomGnp(40, 0.3, 1),
+      "gnp-2" -> GraphGen.randomGnp(80, 0.15, 2),
+      "gnp-3" -> GraphGen.randomGnp(120, 0.08, 3),
+      "gnp-4" -> GraphGen.randomGnp(30, 0.6, 4))
+    val pinned = Map(
+      "FB" -> (16, -465564474),
+      "hubs" -> (4, 2008516518),
+      "gnp-1" -> (3, 1105158283),
+      "gnp-2" -> (2, 2030071128),
+      "gnp-3" -> (2, 324931587),
+      "gnp-4" -> (7, 920167462))
+    for ((name, g) <- cases) {
+      val r = TrussOrder.compute(g)
+      assert((r.bound, java.util.Arrays.hashCode(r.rank)) == pinned(name), s"ordering of $name moved")
+    }
+  }
+
+  test("each edge, when ranked, has the least live support of the remaining edges") {
+    val graphs = (0 until 6).map(s => GraphGen.randomGnp(20 + 3 * s, 0.35, s + 900)) :+
+      TestGraphs.hubs(3, 30, 6, 5)
+    for (g <- graphs) {
+      val rank = TrussOrder.compute(g).rank
+      val live = Array.fill(g.m)(true)
+      def support(e: Int): Int = g.commonNeighbors(g.eu(e), g.ev(e)).count { w =>
+        live(g.edgeId(g.eu(e), w)) && live(g.edgeId(g.ev(e), w))
+      }
+      for (e <- (0 until g.m).sortBy(rank(_))) {
+        val least = (0 until g.m).filter(live(_)).map(support).min
+        assert(support(e) == least, s"edge $e ranked ${rank(e)} with support ${support(e)} > $least")
+        live(e) = false
+      }
+    }
+  }
+
   test("tau bounds the level-1 candidate size on the paper-suite generator") {
     val cfg = GraphGen.DatasetConfig("T", "t", 400, 3, 30, 5, 9, 0, 77)
     val g = GraphGen.generate(cfg)

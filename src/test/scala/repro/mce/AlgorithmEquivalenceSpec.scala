@@ -106,6 +106,15 @@ class AlgorithmEquivalenceSpec extends SparkSpec {
       check(s"overlap-$seed", GraphGen.generate(cfg))
     }
 
+  // Few vertices of very high degree: the anchor of each hub–hub edge holds
+  // every leaf, and most edges tie on support in the truss ordering.
+  for (seed <- 0 until 6)
+    test(s"random hub-heavy: hubs sharing their leaves, seed=$seed") {
+      val rng = new Random(seed + 400)
+      val leaves = 200 + rng.nextInt(200)
+      check(s"hubs-$seed", TestGraphs.hubs(2 + rng.nextInt(4), leaves, rng.nextInt(leaves / 4), seed))
+    }
+
   // Regression: deep edge-branching (d >= 2) once re-used candidate pairs
   // consumed at level 2 when handing off to the vertex phase (duplicate
   // cliques on dense graphs); caught on G(24, 0.77)-style instances.

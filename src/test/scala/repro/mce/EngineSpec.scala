@@ -79,6 +79,22 @@ class EngineSpec extends SparkSpec {
     assert(prep.orderBound == repro.graph.TrussOrder.compute(g).bound)
   }
 
+  test("an anchor too large for its pair-rank matrix fails with a clear error") {
+    // Hub–hub edges are anchored at a hub of degree 50,002; 50,002² ints
+    // exceed the largest JVM array.
+    val g = TestGraphs.hubs(3, 50000, 0, 1)
+    val err = intercept[IllegalArgumentException](Engine.runLocal(g, MceConfig.hbbmcPP, new CountingSink))
+    assert(err.getMessage.contains("anchor vertex 0 has degree 50002"), err.getMessage)
+    assert(Engine.runLocal(g, MceConfig.rDegen, new CountingSink).cliques == 50000)
+  }
+
+  test("edge depth 2 rejects a degree beyond its pair-key packing") {
+    val g = TestGraphs.star(1 << 20 | 1) // center of degree 2^20
+    val err = intercept[IllegalArgumentException](Engine.prepare(g, MceConfig.hbbmcDepth(2).copy(gr = false)))
+    assert(err.getMessage.contains("maximum degree below 2^20"), err.getMessage)
+    assert(Engine.prepare(g, MceConfig.hbbmcPP.copy(gr = false)).reduced.m == 1 << 20)
+  }
+
   test("presets match the paper's algorithm naming") {
     assert(MceConfig.hbbmcPP.etT == 3 && MceConfig.hbbmcPP.gr)
     assert(MceConfig.hbbmcP.etT == 0)
