@@ -57,6 +57,7 @@ object DistMCE {
     val callsAcc = spark.sparkContext.longAccumulator("mce.calls")
     val etAcc = spark.sparkContext.longAccumulator("mce.et")
     val plexAcc = spark.sparkContext.longAccumulator("mce.plex")
+    val level1Acc = spark.sparkContext.longAccumulator("mce.level1")
     val cliquesDs = spark.range(0, prep.units.toLong).as[Long]
       .repartition(math.max(1, math.min(par, math.max(1, prep.units))))
       .mapPartitions { it =>
@@ -69,6 +70,7 @@ object DistMCE {
         callsAcc.add(counters.calls)
         etAcc.add(counters.etApplied)
         plexAcc.add(counters.plexBranches)
+        level1Acc.add(counters.level1Branches)
         collect.cliques.iterator.map(_.toSeq)
       }
     val direct = prep.directCliques.map(_.sorted.toSeq).toSeq
@@ -81,7 +83,7 @@ object DistMCE {
       cnt,
       if (sizes.isNullAt(0)) 0L else sizes.getLong(0),
       if (sizes.isNullAt(1)) 0 else sizes.getInt(1),
-      callsAcc.value, etAcc.value, plexAcc.value, prep.units.toLong
+      callsAcc.value, etAcc.value, plexAcc.value, level1Acc.value
     )
     (all, stats)
   }

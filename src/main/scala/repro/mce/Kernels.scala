@@ -1,7 +1,5 @@
 package repro.mce
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Branch-local enumeration kernels.
   *
   * A level-1 branch (one edge or one vertex of the ordered initial split)
@@ -329,9 +327,12 @@ object Kernels {
         return
       }
       // Collect surviving edges (rank > r) among C and per-vertex surviving
-      // degrees; pack (rank, i, j) into longs for an allocation-light sort.
+      // degrees. Sort keys are rank << 32 | slot, where slot indexes the
+      // edge's endpoints i << 32 | j in `ends`; the ranks are distinct.
       val ranks = bg.localRank
-      val packed = new ArrayBuffer[Long]()
+      var keys = new Array[Long](16)
+      var ends = new Array[Long](16)
+      var nEdges = 0
       val survDeg = new Array[Int](bg.nLoc)
       var a = 0
       while (a < cArr.length) {
@@ -340,7 +341,13 @@ object Kernels {
           if (j > i) {
             val rr = ranks.rank(i, j)
             if (rr > r) {
-              packed += ((rr.toLong << 40) | (i.toLong << 20) | j.toLong)
+              if (nEdges == keys.length) {
+                keys = java.util.Arrays.copyOf(keys, 2 * nEdges)
+                ends = java.util.Arrays.copyOf(ends, 2 * nEdges)
+              }
+              keys(nEdges) = (rr.toLong << 32) | nEdges
+              ends(nEdges) = (i.toLong << 32) | j
+              nEdges += 1
               survDeg(i) += 1; survDeg(j) += 1
             }
           }
@@ -373,16 +380,15 @@ object Kernels {
           return
         }
       }
-      val edges = packed.toArray
-      java.util.Arrays.sort(edges)
+      java.util.Arrays.sort(keys, 0, nEdges)
       val cx = new Array[Long](x.length)
       Bits.orIntoMixed(cx, x, c)
       var ei = 0
-      while (ei < edges.length) {
-        val packedE = edges(ei)
-        val re = (packedE >>> 40).toInt
-        val i = ((packedE >>> 20) & 0xfffff).toInt
-        val j = (packedE & 0xfffff).toInt
+      while (ei < nEdges) {
+        val re = (keys(ei) >>> 32).toInt
+        val slot = keys(ei).toInt
+        val i = (ends(slot) >>> 32).toInt
+        val j = ends(slot).toInt
         // A' = (C ∪ X) ∩ N_full(i) ∩ N_full(j); C' ⊆ C requires both cross
         // edges surviving beyond rank(e).
         val aNew = Bits.andRow(Bits.andRow(cx, full, i * W), full, j * W)

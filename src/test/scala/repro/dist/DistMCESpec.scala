@@ -36,9 +36,8 @@ class DistMCESpec extends SparkSpec {
     val g = GraphGen.generate(GraphGen.DatasetConfig("T", "t", 300, 3, 20, 5, 10, 0, 24))
     val stats = DistMCE.run(spark, g, MceConfig.hbbmcPP)
     val (_, statsCollect) = DistMCE.runCollect(spark, g, MceConfig.hbbmcPP)
-    assert(stats.cliques == statsCollect.cliques)
-    assert(stats.maxSize == statsCollect.maxSize)
-    assert(stats.sumSize == statsCollect.sumSize)
+    assert(stats == statsCollect) // every MceStats field
+    assert(stats.level1Branches == Engine.collectLocal(g, MceConfig.hbbmcPP)._2.level1Branches)
   }
 
   test("distributed equals sequential on a mid-size social graph") {

@@ -115,6 +115,18 @@ class AlgorithmEquivalenceSpec extends SparkSpec {
       check(s"hubs-$seed", TestGraphs.hubs(2 + rng.nextInt(4), leaves, rng.nextInt(leaves / 4), seed))
     }
 
+  // Hub anchors above AnchorContext.DenseRankMaxDegree store no pair-rank
+  // matrix: branch building and the deep edge phase (d >= 2, EBBMC) look
+  // ranks up by edge id. Hub–hub edges rank last, so a hub branch's
+  // candidates are the other hubs: four hubs give those branches
+  // candidate pairs.
+  for (seed <- 0 until 2)
+    test(s"random hub-heavy beyond the dense rank budget, seed=$seed") {
+      val rng = new Random(seed + 500)
+      val leaves = 1600 + rng.nextInt(400)
+      check(s"big-hubs-$seed", TestGraphs.hubs(4, leaves, leaves / 8 + rng.nextInt(leaves / 8), seed))
+    }
+
   // Regression: deep edge-branching (d >= 2) once re-used candidate pairs
   // consumed at level 2 when handing off to the vertex phase (duplicate
   // cliques on dense graphs); caught on G(24, 0.77)-style instances.

@@ -79,20 +79,31 @@ class EngineSpec extends SparkSpec {
     assert(prep.orderBound == repro.graph.TrussOrder.compute(g).bound)
   }
 
-  test("an anchor too large for its pair-rank matrix fails with a clear error") {
-    // Hub–hub edges are anchored at a hub of degree 50,002; 50,002² ints
-    // exceed the largest JVM array.
+  test("a 50,000-leaf hub anchor runs under HBBMC++ and matches RDegen") {
+    // Hub–hub edges are anchored at a hub of degree 50,002, far above the
+    // dense pair-rank budget: its ranks are looked up by edge id.
     val g = TestGraphs.hubs(3, 50000, 0, 1)
-    val err = intercept[IllegalArgumentException](Engine.runLocal(g, MceConfig.hbbmcPP, new CountingSink))
-    assert(err.getMessage.contains("anchor vertex 0 has degree 50002"), err.getMessage)
-    assert(Engine.runLocal(g, MceConfig.rDegen, new CountingSink).cliques == 50000)
+    val hb = Engine.runLocal(g, MceConfig.hbbmcPP, new CountingSink)
+    val rd = Engine.runLocal(g, MceConfig.rDegen, new CountingSink)
+    assert(rd.cliques == 50000)
+    assert((hb.cliques, hb.sumSize, hb.maxSize) == ((rd.cliques, rd.sumSize, rd.maxSize)))
   }
 
-  test("edge depth 2 rejects a degree beyond its pair-key packing") {
+  test("an anchor beyond the largest neighborhood bitset fails naming the anchor") {
+    // Without GR the hub–hub edge is anchored at hub 0 of degree 380,001:
+    // 380,001 rows of 5,938 words exceed the largest JVM array.
+    val g = TestGraphs.hubs(2, 380000, 0, 1)
+    val err = intercept[IllegalArgumentException](
+      Engine.runLocal(g, MceConfig.hbbmcPP.copy(gr = false), new CountingSink))
+    assert(err.getMessage.contains("anchor vertex 0 has degree 380001"), err.getMessage)
+  }
+
+  test("edge depth 2 runs a star whose center has degree 2^20, as depth 1 does") {
     val g = TestGraphs.star(1 << 20 | 1) // center of degree 2^20
-    val err = intercept[IllegalArgumentException](Engine.prepare(g, MceConfig.hbbmcDepth(2).copy(gr = false)))
-    assert(err.getMessage.contains("maximum degree below 2^20"), err.getMessage)
-    assert(Engine.prepare(g, MceConfig.hbbmcPP.copy(gr = false)).reduced.m == 1 << 20)
+    val d1 = Engine.runLocal(g, MceConfig.hbbmcPP.copy(gr = false), new CountingSink)
+    val d2 = Engine.runLocal(g, MceConfig.hbbmcDepth(2).copy(gr = false), new CountingSink)
+    assert(d1.cliques == 1 << 20)
+    assert((d2.cliques, d2.sumSize, d2.maxSize) == ((d1.cliques, d1.sumSize, d1.maxSize)))
   }
 
   test("presets match the paper's algorithm naming") {
